@@ -80,6 +80,7 @@ class RateTable:
         self._arr_rate: Optional[np.ndarray] = None
         self._packed: Optional[np.ndarray] = None
         self._csr = None
+        self._faster: dict[tuple[int, int], frozenset[int]] = {}
         if rates:
             for (a, b), rate in rates.items():
                 self.set(a, b, rate)
@@ -171,6 +172,7 @@ class RateTable:
         self._arr_a = self._arr_b = self._arr_rate = None
         self._packed = None
         self._csr = None
+        self._faster = {}
 
     # -- mutation ------------------------------------------------------------
 
@@ -216,6 +218,31 @@ class RateTable:
         if i == len(node_list) or node_list[i] != node_id:
             return _EMPTY_I, _EMPTY_F
         return nb[indptr[i]:indptr[i + 1]], nr[indptr[i]:indptr[i + 1]]
+
+    def faster_peers(self, node_id: int, target: int) -> frozenset[int]:
+        """Nodes whose rate to ``target`` strictly beats ``node_id``'s.
+
+        The relay-qualification rule of the refresh protocol: a parent
+        hands a copy for ``target`` to any encountered node in this set
+        (or to a planned relay).  The answer depends only on the edge,
+        so it is built once per ``(node_id, target)`` from the cached
+        CSR view and kept until the next :meth:`set`.  A strictly
+        greater rate is positive, so dropping zero-rate pairs loses
+        nothing.
+
+        >>> table = RateTable({(0, 9): 0.2, (1, 9): 0.5, (2, 9): 0.1})
+        >>> sorted(table.faster_peers(0, 9))
+        [1]
+        >>> sorted(table.faster_peers(5, 9))    # no rate of its own
+        [0, 1, 2]
+        """
+        key = (node_id, target)
+        cached = self._faster.get(key)
+        if cached is None:
+            ids, rs = self.neighbor_view(target)
+            own = self.rate(node_id, target)
+            cached = self._faster[key] = frozenset(ids[rs > own].tolist())
+        return cached
 
     def neighbors(self, node_id: int) -> dict[int, float]:
         """Peers of ``node_id`` with a positive rate."""

@@ -452,15 +452,16 @@ class HdrRefreshHandler(ProtocolHandler):
         better carrier).  A distributed node cannot wait for specific
         relays it may never meet -- recruitment must work with whoever
         shows up, which is exactly why the provisioning is
-        probabilistic.
+        probabilistic.  The better carriers of each edge are a fixed set
+        (:meth:`~repro.contacts.rates.RateTable.faster_peers`), so the
+        check does no rate lookups.  Without a rate table only planned
+        relays qualify.
         """
         if peer_id in plan.relays:
             return True
         if self.rates is None:
             return False
-        peer_rate = self.rates.rate(peer_id, target)
-        own_rate = self.rates.rate(self.node.node_id, target)
-        return peer_rate > own_rate
+        return peer_id in self.rates.faster_peers(self.node.node_id, target)
 
     def _maybe_recruit(
         self,

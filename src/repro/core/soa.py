@@ -32,6 +32,14 @@ supported scheme.  The cross-check lives in the scheme benchmark's
 ``soa`` section and the property tests; the pattern follows the
 ``INCREMENTAL_BOOKKEEPING`` equivalence gate from PR 2.
 
+Relay recruitment shares its rule with the object backend: a peer
+qualifies for a tree edge if it is a planned relay or is in the edge's
+:meth:`~repro.contacts.rates.RateTable.faster_peers` set.  That set is
+built once per (parent, child) edge, so the run phase makes no
+contact-rate lookups; on an array-backed rate table each one was a
+scalar binary search, and they were most of the run time on a
+protocol-active community trace.
+
 Unsupported in this backend (build raises ``ValueError``): the
 ``invalidate`` scheme, the query plane, fault injection, event tracing,
 custom link models and churn.  The object backend stays the default and
@@ -190,8 +198,6 @@ class SoaRuntime:
         #: equal vectors on both endpoints => the push scans would send
         #: nothing in either direction, so the contact is skipped
         self._vsig: dict[int, list[int]] = {}
-        #: cached frozenset views of relay plans for recruit checks
-        self._relay_sets: dict[tuple[int, int, int], frozenset[int]] = {}
 
         #: protocol-active mask over node indices (tree family): sources,
         #: caching nodes, and nodes holding a relayed task.  Contacts
@@ -698,14 +704,6 @@ class SoaRuntime:
                            task.version_time, 0))
         self._drop_task(st, key)
 
-    def _relay_set(self, plan_key: tuple[int, int, int]) -> frozenset[int]:
-        cached = self._relay_sets.get(plan_key)
-        if cached is None:
-            cached = self._relay_sets[plan_key] = frozenset(
-                self.plans[plan_key].relays
-            )
-        return cached
-
     def _maybe_recruit(self, st: _TaskState, me: int, pid: int,
                        key: tuple[int, int],
                        task: _PendingRefresh) -> None:
@@ -721,10 +719,9 @@ class SoaRuntime:
         if st.recruits_used.get(budget_key, 0) >= self.relay_budget:
             self._c_budget.add(1)
             return
-        if pid not in self._relay_set(plan_key):
-            rates = self.rates
-            if rates.rate(pid, target) <= rates.rate(me, target):
-                return
+        if not (pid in plan.relays
+                or pid in self.rates.faster_peers(me, target)):
+            return
         if self._known_version(pid, item_id) >= task.version:
             return
         pst = self._tstate.get(pid)

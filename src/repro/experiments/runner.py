@@ -32,7 +32,12 @@ from repro.analysis.metrics import freshness_summary, judge_queries, refresh_out
 from repro.caching.items import DataCatalog
 from repro.contacts.centrality import contact_centrality, rank_nodes
 from repro.contacts.rates import RateTable, mle_rates
-from repro.core.scheme import SchemeConfig, build_simulation
+from repro.core.scheme import (
+    SCHEMES,
+    SchemeConfig,
+    build_simulation,
+    scheme_variant,
+)
 from repro.experiments.artifacts import (
     SOURCE_RANKING_WINDOW,
     artifacts_for_trace,
@@ -126,6 +131,40 @@ def analytic_on_time(runtime) -> float:
                 prob *= plan.achieved if plan is not None else 0.0
             products.append(prob)
     return sum(products) / len(products) if products else math.nan
+
+
+#: :class:`Settings` knobs that shape the HDR-family refresh trees
+TREE_KNOBS = ("fanout", "max_depth", "max_relays")
+
+
+def configure_scheme(scheme: str | SchemeConfig,
+                     settings: Settings) -> str | SchemeConfig:
+    """The scheme a run uses under ``settings``' tree knobs.
+
+    ``settings.fanout``, ``max_depth`` and ``max_relays`` reshape the
+    tree-structured registry schemes (``hdr``, ``random``).  ``source``,
+    ``flat`` and ``flooding`` keep their fixed structure, and an explicit
+    :class:`SchemeConfig` carries its own knobs.  When the settings
+    equal the scheme's own values the name comes back unchanged, so
+    default runs stay byte-identical; otherwise the variant keeps the
+    scheme's name, which is what sweep results are keyed by.
+
+    >>> configure_scheme("hdr", Settings())
+    'hdr'
+    >>> config = configure_scheme("hdr", Settings(fanout=2))
+    >>> config.name, config.fanout, config.max_depth
+    ('hdr', 2, 3)
+    >>> configure_scheme("flat", Settings(fanout=2))
+    'flat'
+    """
+    config = SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    if config is None or config.structure != "tree":
+        return scheme
+    overrides = {knob: getattr(settings, knob) for knob in TREE_KNOBS
+                 if getattr(settings, knob) != getattr(config, knob)}
+    if not overrides:
+        return scheme
+    return scheme_variant(scheme, name=scheme, **overrides)
 
 
 def make_trace(settings: Settings, seed: int) -> ContactTrace:
@@ -365,7 +404,7 @@ def run_once(
         runtime = build_simulation(
             trace,
             catalog,
-            scheme=scheme,
+            scheme=configure_scheme(scheme, settings),
             num_caching_nodes=num_caching_nodes or settings.num_caching_nodes,
             rates=rates,
             seed=seed,

@@ -213,11 +213,13 @@ SCHEMA: tuple[SchemaKey, ...] = (
               check=_fraction_closed_open,
               doc="Leading fraction of the horizon excluded from metrics."),
     SchemaKey("settings", "fanout", "integer", default=3,
-              check=_at_least_one, doc="Refresh-tree fanout."),
+              check=_at_least_one, doc="Refresh-tree fanout (hdr, random)."),
     SchemaKey("settings", "max_depth", "integer", default=3,
-              check=_at_least_one, doc="Refresh-tree depth limit."),
+              check=_at_least_one,
+              doc="Refresh-tree depth limit (hdr, random)."),
     SchemaKey("settings", "max_relays", "integer", default=5,
-              check=_non_negative, doc="Relays provisioned per tree edge."),
+              check=_non_negative,
+              doc="Relays provisioned per tree edge (hdr, random)."),
     SchemaKey("settings", "refresh_jitter", "float", default=0.25,
               check=_non_negative,
               doc="Relative jitter on the refresh schedule."),

@@ -487,7 +487,9 @@ class FreshnessModel:
         does not wait for the *planned* relays: it hands a copy to the
         first ``k`` encountered nodes that qualify (a planned relay, or
         any node with a better contact rate to the target than the
-        parent itself -- see ``HdrRefreshHandler._relay_qualifies``).
+        parent itself -- see ``HdrRefreshHandler._relay_qualifies`` and
+        :meth:`~repro.contacts.rates.RateTable.faster_peers`, whose set
+        this loop uses too).
         Modelling ``k`` specific relays therefore badly underestimates
         the recruitment speed whenever many nodes qualify.
 
@@ -503,17 +505,14 @@ class FreshnessModel:
         plan = self.plans.get((item_id, parent, child))
         if plan is None or plan.num_relays == 0:
             return []
-        own = self.rates.rate(parent, child)
         planned = set(plan.relays)
+        faster = self.rates.faster_peers(parent, child)
         meet = []
         deliver = []
         for peer, rate_to_parent in self._neighbor_rates.get(parent, ()):
-            if peer == child:
-                continue
-            rate_to_child = self.rates.rate(peer, child)
-            if peer in planned or rate_to_child > own:
+            if peer != child and (peer in planned or peer in faster):
                 meet.append(rate_to_parent)
-                deliver.append(rate_to_child)
+                deliver.append(self.rates.rate(peer, child))
         if not meet:
             return []
         pooled = float(sum(meet))

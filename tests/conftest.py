@@ -50,3 +50,24 @@ def build_network(trace: ContactTrace, **kwargs) -> ContactNetwork:
 @pytest.fixture
 def network_factory():
     return build_network
+
+
+def run_once_capturing(monkeypatch, *args, prepare=None, **kwargs):
+    """``run_once`` plus the runtime it built; ``prepare`` runs on the
+    runtime before the simulation starts."""
+    from repro.experiments import runner
+
+    build = runner.build_simulation
+    built = []
+
+    def capture(*build_args, **build_kwargs):
+        runtime = build(*build_args, **build_kwargs)
+        if prepare is not None:
+            prepare(runtime)
+        built.append(runtime)
+        return runtime
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "build_simulation", capture)
+        metrics = runner.run_once(*args, **kwargs)
+    return metrics, built[0]

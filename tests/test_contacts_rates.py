@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from repro.contacts.rates import ContactRateEstimator, RateTable, ewma_rates, mle_rates
 from repro.mobility.trace import Contact, ContactTrace
@@ -48,6 +50,57 @@ class TestRateTable:
 
     def test_len(self):
         assert len(RateTable({(0, 1): 0.5, (1, 2): 0.2})) == 2
+
+
+#: small tables with repeated rates (ties) and explicit zero-rate pairs
+_rate_tables = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7))
+    .filter(lambda pair: pair[0] < pair[1]),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+    max_size=20,
+)
+
+
+def _both_backings(rates: dict) -> list[RateTable]:
+    pairs = sorted(rates)
+    arrays = RateTable.from_arrays(
+        [a for a, _ in pairs], [b for _, b in pairs], [rates[p] for p in pairs]
+    )
+    return [RateTable(rates), arrays]
+
+
+class TestFasterPeers:
+    @hsettings(max_examples=60, deadline=None)
+    @given(rates=_rate_tables, node=st.integers(0, 9), target=st.integers(0, 9))
+    def test_matches_brute_force(self, rates, node, target):
+        # ids 8 and 9 never appear in a table: unknown nodes and targets
+        for table in _both_backings(rates):
+            own = table.rate(node, target)
+            expected = {peer for peer in range(10)
+                        if table.rate(peer, target) > own}
+            got = table.faster_peers(node, target)
+            assert got == expected
+            assert table.faster_peers(node, target) is got
+
+    def test_zero_rate_and_unknown_pairs_never_qualify(self):
+        rates = {(1, 9): 0.0, (2, 9): 0.5, (3, 9): 0.25}
+        for table in _both_backings(rates):
+            # a stored zero rate and a never-observed pair look alike
+            assert table.rate(1, 9, default=-1.0) == 0.0
+            assert table.rate(7, 9, default=-1.0) == -1.0
+            assert table.faster_peers(1, 9) == {2, 3}
+            assert table.faster_peers(7, 9) == {2, 3}
+            assert table.faster_peers(3, 9) == {2}
+            assert table.faster_peers(2, 9) == frozenset()
+            assert table.faster_peers(2, 42) == frozenset()
+
+    def test_set_invalidates_the_cache(self):
+        for table in _both_backings({(0, 9): 0.2, (1, 9): 0.5}):
+            assert table.faster_peers(0, 9) == {1}
+            table.set(2, 9, 0.3)
+            assert table.faster_peers(0, 9) == {1, 2}
+            table.set(0, 9, 0.4)
+            assert table.faster_peers(0, 9) == {1}
 
 
 class TestMleRates:

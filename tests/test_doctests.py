@@ -13,6 +13,7 @@ import repro.caching.onpath
 import repro.caching.placement
 import repro.contacts.rates
 import repro.core.replication
+import repro.experiments.runner
 import repro.mobility.levy
 import repro.scenarios.grid
 import repro.theory.model
@@ -22,6 +23,7 @@ import repro.workloads.cycles
 MODULES = [
     repro.core.replication,
     repro.contacts.rates,
+    repro.experiments.runner,
     repro.theory.model,
     repro.theory.validate,
     repro.mobility.levy,

@@ -8,11 +8,13 @@ from repro.experiments.runner import (
     RunMetrics,
     analytic_on_time,
     choose_sources,
+    configure_scheme,
     make_catalog,
     make_trace,
     run_once,
     run_replicated,
 )
+from tests.conftest import run_once_capturing
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,51 @@ class TestRunnerHelpers:
                                    num_caching_nodes=5, seed=1)
         value = analytic_on_time(runtime)
         assert 0.0 <= value <= 1.0
+
+
+class TestTreeKnobs:
+    """``Settings.fanout``/``max_depth``/``max_relays`` reach the run."""
+
+    def test_fanout_sweep_changes_trees(self, monkeypatch, settings, trace):
+        # five caching nodes fit a depth-5 tree at every fanout
+        small = settings.with_(num_caching_nodes=5, max_depth=5)
+        shapes = {}
+        for fanout in (1, 2, 4):
+            metrics, runtime = run_once_capturing(
+                monkeypatch, trace, "hdr", small.with_(fanout=fanout), seed=1)
+            assert metrics.scheme == "hdr"
+            assert runtime.config.fanout == fanout
+            shapes[fanout] = {item: tree.parent
+                              for item, tree in runtime.trees.items()}
+            widest = max(len(kids) for tree in runtime.trees.values()
+                         for kids in tree.children.values())
+            assert widest <= fanout
+        assert shapes[1] != shapes[2] != shapes[4] != shapes[1]
+
+    def test_max_relays_reaches_the_plans(self, monkeypatch, settings, trace):
+        _, runtime = run_once_capturing(
+            monkeypatch, trace, "hdr", settings.with_(max_relays=1), seed=1)
+        assert runtime.plans
+        assert max(plan.num_relays for plan in runtime.plans.values()) <= 1
+
+    def test_defaults_keep_the_registry_scheme(self):
+        for name in ("hdr", "random", "source", "flat", "flooding"):
+            assert configure_scheme(name, Settings()) == name
+
+    def test_fixed_structure_schemes_ignore_the_knobs(self):
+        knobs = Settings(fanout=2, max_depth=2, max_relays=1)
+        for name in ("source", "flat", "flooding"):
+            assert configure_scheme(name, knobs) == name
+        config = configure_scheme("random", knobs)
+        assert (config.name, config.assignment) == ("random", "random")
+        assert (config.fanout, config.max_depth, config.max_relays) == (2, 2, 1)
+
+    def test_explicit_config_is_kept(self):
+        from repro.core.scheme import scheme_variant
+
+        config = scheme_variant("hdr", max_depth=2, name="hdr-d2")
+        knobs = Settings(max_depth=3, fanout=4)
+        assert configure_scheme(config, knobs) is config
 
 
 class TestExperimentRegistry:

@@ -19,10 +19,10 @@ before reading the counters.  A drained entry whose slot has since been
 replaced by a newer version is ignored (the version stamp on the heap
 entry acts as a tombstone check).
 
-The brute-force recompute in
-:meth:`SchemeRuntime.freshness_snapshot
-<repro.core.scheme.SchemeRuntime.freshness_snapshot>` is kept behind a
-debug flag for equivalence testing; the module-level
+The brute-force recompute (:func:`scan_snapshot`, behind
+``freshness_snapshot(recompute=True)`` on both simulation backends) is
+kept for equivalence testing, and :class:`AccountingVerifier` gives both
+runtimes the same ``verify_freshness_accounting`` check; the module-level
 :data:`INCREMENTAL_BOOKKEEPING` switch restores the pre-optimisation
 behaviour globally (the benchmark harness flips it to measure the win).
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-from repro.caching.items import CacheEntry, DataCatalog
+from repro.caching.items import CacheEntry, DataCatalog, VersionHistory
 
 #: Master switch for the incremental bookkeeping introduced in this
 #: layer: the O(1) freshness probe, the per-contact task index and the
@@ -200,3 +200,49 @@ class FreshnessAccountant:
             self._valid_online,
             self._online_count * self._num_items,
         )
+
+
+def scan_snapshot(stores, node_ids: Iterable[int], catalog: DataCatalog,
+                  history: VersionHistory, now: float) -> tuple[int, int, int]:
+    """``(fresh, valid, total)`` by scanning the stores of ``node_ids``:
+    the O(nodes x catalog) reference the running counters must match.
+
+    *Fresh* means the cached version is the source's current version at
+    ``now``; *valid* means it has not expired.  Slots with no entry
+    count as neither.
+    """
+    fresh = 0
+    valid = 0
+    total = 0
+    for node_id in node_ids:
+        store = stores[node_id]
+        for item in catalog:
+            total += 1
+            entry = store.peek(item.item_id)
+            if entry is None:
+                continue
+            if not entry.expired(now, item):
+                valid += 1
+            if history.is_fresh(item.item_id, entry.version, now):
+                fresh += 1
+    return fresh, valid, total
+
+
+class AccountingVerifier:
+    """``verify_freshness_accounting`` for a runtime with a clock
+    (``sim.now``) and ``freshness_snapshot(recompute=...)``."""
+
+    def verify_freshness_accounting(self) -> tuple[int, int, int]:
+        """Assert the incremental counters match the brute-force scan.
+
+        Returns the snapshot on success; raises ``AssertionError`` with
+        both readings otherwise.  Test/debug helper.
+        """
+        incremental = self.freshness_snapshot(recompute=False)
+        brute = self.freshness_snapshot(recompute=True)
+        if incremental != brute:
+            raise AssertionError(
+                f"freshness accounting diverged at t={self.sim.now}: "
+                f"incremental={incremental}, brute-force={brute}"
+            )
+        return incremental

@@ -308,17 +308,30 @@ def _clean_members(root: int, caching_nodes: Iterable[int]) -> list[int]:
     return members
 
 
+def tree_capacity(fanout: int, max_depth: int,
+                  root_fanout: Optional[int] = None) -> int:
+    """Most caching nodes a refresh tree can hold: a ``root_fanout``-ary
+    first level (default ``fanout``) over ``fanout``-ary subtrees, down
+    to ``max_depth`` levels below the source.
+
+    >>> tree_capacity(fanout=2, max_depth=2)
+    6
+    >>> tree_capacity(fanout=3, max_depth=3, root_fanout=1)
+    13
+    """
+    capacity = level = root_fanout or fanout
+    for _ in range(max_depth - 1):
+        level *= fanout
+        capacity += level
+    return capacity
+
+
 def _check_capacity(n: int, fanout: int, max_depth: int, root_fanout: int) -> None:
     if fanout < 1 or root_fanout < 1:
         raise ValueError("fanout must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    # Capacity of a root_fanout-ary level over fanout-ary subtrees.
-    capacity = root_fanout
-    level = root_fanout
-    for _ in range(max_depth - 1):
-        level *= fanout
-        capacity += level
+    capacity = tree_capacity(fanout, max_depth, root_fanout)
     if n > capacity:
         raise ValueError(
             f"{n} caching nodes exceed tree capacity {capacity} "

@@ -49,7 +49,7 @@ from repro.caching.store import CacheStore, EvictionPolicy
 from repro.contacts import rates as rates_module
 from repro.contacts.rates import RateTable, mle_rates
 from repro.core import accounting
-from repro.core.accounting import FreshnessAccountant
+from repro.core.accounting import AccountingVerifier, FreshnessAccountant
 from repro.core.hierarchy import RefreshTree, build_tree, random_tree, star_tree
 from repro.core.refresh import (
     FloodingRefreshHandler,
@@ -153,7 +153,7 @@ SCHEMES: dict[str, SchemeConfig] = {
 
 
 @dataclass
-class SchemeRuntime:
+class SchemeRuntime(AccountingVerifier):
     """A fully wired simulation plus everything needed to measure it."""
 
     config: SchemeConfig
@@ -204,39 +204,10 @@ class SchemeRuntime:
             recompute = not accounting.INCREMENTAL_BOOKKEEPING
         if not recompute and self.accountant is not None:
             return self.accountant.snapshot(self.sim.now)
-        now = self.sim.now
-        fresh = 0
-        valid = 0
-        total = 0
-        for node_id in self.caching_nodes:
-            if not self.nodes[node_id].online:
-                continue  # an offline device serves nobody
-            store = self.stores[node_id]
-            for item in self.catalog:
-                total += 1
-                entry = store.peek(item.item_id)
-                if entry is None:
-                    continue
-                if not entry.expired(now, item):
-                    valid += 1
-                if self.history.is_fresh(item.item_id, entry.version, now):
-                    fresh += 1
-        return fresh, valid, total
-
-    def verify_freshness_accounting(self) -> tuple[int, int, int]:
-        """Assert the incremental counters match the brute-force scan.
-
-        Returns the snapshot on success; raises ``AssertionError`` with
-        both readings otherwise.  Test/debug helper.
-        """
-        incremental = self.freshness_snapshot(recompute=False)
-        brute = self.freshness_snapshot(recompute=True)
-        if incremental != brute:
-            raise AssertionError(
-                f"freshness accounting diverged at t={self.sim.now}: "
-                f"incremental={incremental}, brute-force={brute}"
-            )
-        return incremental
+        online = [node_id for node_id in self.caching_nodes
+                  if self.nodes[node_id].online]  # offline serves nobody
+        return accounting.scan_snapshot(self.stores, online, self.catalog,
+                                        self.history, self.sim.now)
 
     def install_freshness_probe(self, interval: float, until: float) -> None:
         """Record freshness/validity ratios every ``interval`` seconds.

@@ -11,10 +11,21 @@ caching nodes and the currently recruited relays can move data.
 :class:`~repro.sim.soa.ContactEventStream`: the contact schedule lives
 in sorted NumPy arrays, each slab of events is masked down to the
 contacts with at least one protocol-active endpoint in one vector
-operation, and only the survivors run protocol logic.  Control events
-(freshness probes, source version bumps) live in a tiny heap and
-deliveries in a FIFO, replicating the heap's ``(time, priority, seq)``
-order exactly:
+operation, and only the survivors run protocol logic.  The slab keeps
+its relevant events as an index array; Python lists are built for one
+window of :data:`WINDOW_EVENTS` relevant events at a time, extended so
+a window never splits a timestamp (the rule of
+:meth:`~repro.sim.soa.ContactEventStream.slab_end`).  When a delivery
+recruits a plain node as a relay, the active set grows, so the runtime
+drops the current window and restarts the slab just after the current
+timestamp.  The restarted slab starts window-sized and doubles per load
+back up to :data:`SLAB_EVENTS`, so a recruitment costs the re-masking
+of the events actually run before the next one plus one window of list
+conversions, not a re-materialisation of the whole remaining slab.
+
+Control events (freshness probes, source version bumps) live in a tiny
+heap and deliveries in a FIFO, replicating the heap's ``(time,
+priority, seq)`` order exactly:
 
 1. contact starts at time T, in trace sequence order (priority 0,
    static sequence numbers precede all dynamic ones);
@@ -60,18 +71,27 @@ from repro.caching.items import CacheEntry, DataCatalog, VersionHistory
 from repro.caching.ncl import select_caching_nodes
 from repro.caching.store import CacheStore, EvictionPolicy
 from repro.contacts.rates import RateTable, mle_rates
-from repro.core.accounting import FreshnessAccountant
+from repro.core import accounting
+from repro.core.accounting import AccountingVerifier, FreshnessAccountant
 from repro.core.refresh import REFRESH_OVERHEAD, RefreshUpdate, _PendingRefresh
 from repro.mobility.arrays import ContactArrays
 from repro.mobility.trace import ContactTrace
 from repro.obs.registry import MetricsRegistry
-from repro.sim.soa import KIND_START, ContactEventStream
+from repro.sim.soa import KIND_START, ContactEventStream, aligned_end
 
-#: Events per slab before timestamp alignment.  Big enough that the
-#: per-slab numpy overhead amortises; small enough that the slab's
-#: Python-side relevant-event lists stay cache friendly.  The equivalence
-#: tests shrink it to force many slab boundaries.
+#: Most events per slab before timestamp alignment: the span one vector
+#: operation masks down to the relevant events.  Big enough that the
+#: per-slab numpy overhead amortises on the large-N skip path.  After a
+#: recruitment the slab restarts at ``WINDOW_EVENTS`` and doubles per
+#: load back up to this size.  The equivalence tests shrink it to force
+#: many slab boundaries.
 SLAB_EVENTS = 65536
+
+#: Relevant events materialised as Python lists at a time, before
+#: timestamp alignment.  A recruitment discards the rest of the current
+#: window, so it wastes at most this many list conversions.  The
+#: equivalence tests shrink it too.
+WINDOW_EVENTS = 512
 
 _PROBE = 0
 _BUMP = 1
@@ -111,7 +131,7 @@ class _TaskState:
         self.recruits_used: dict[tuple[int, int], int] = {}
 
 
-class SoaRuntime:
+class SoaRuntime(AccountingVerifier):
     """A wired SoA simulation: same measurement surface as
     :class:`~repro.core.scheme.SchemeRuntime`, vectorised execution.
 
@@ -203,26 +223,34 @@ class SoaRuntime:
         #: caching nodes, and nodes holding a relayed task.  Contacts
         #: with both endpoints inactive are provably no-ops.
         self._active = np.zeros(stream.num_nodes, dtype=bool)
+        #: the same set by node id, so a relay delivery tests activity
+        #: without a node-index lookup
+        self._active_ids: set[int] = set()
         if self._family == "tree":
-            for nid in self.sources:
+            for nid in [*self.sources, *self.caching_nodes]:
                 self._active[stream.index_of[nid]] = True
-                self._nbr[nid] = set()
-            for nid in self.caching_nodes:
-                self._active[stream.index_of[nid]] = True
+                self._active_ids.add(nid)
                 self._nbr[nid] = set()
         self._recompute = False
 
         # -- slab cursor -------------------------------------------------
+        #: stream position where the next slab starts, and its size
         self._pos = 0
+        self._slab_size = SLAB_EVENTS
+        self._slab_aidx = stream.a_idx[:0]
+        self._slab_bidx = stream.b_idx[:0]
+        self._slab_kind = stream.kind[:0]
+        #: slab offsets of the relevant events, and their times
+        self._rel_idx = np.zeros(0, dtype=np.intp)
+        self._rel_times = stream.time[:0]
+        #: position in ``_rel_idx`` where the next window starts
+        self._wpos = 0
+        # -- window: the relevant events materialised as lists -----------
         self._rel_time: list[float] = []
         self._rel_kind: list[int] = []
         self._rel_a: list[int] = []
         self._rel_b: list[int] = []
         self._ri = 0
-        self._slab_time = stream.time[:0]
-        self._slab_aidx = stream.a_idx[:0]
-        self._slab_bidx = stream.b_idx[:0]
-        self._slab_kind = stream.kind[:0]
 
         # -- event accounting (comparable to sim.events_executed) --------
         self._static_counted = 0
@@ -283,9 +311,21 @@ class SoaRuntime:
              _PROBE, 0, 0),
         )
 
-    def freshness_snapshot(self) -> tuple[int, int, int]:
-        """``(fresh, valid, total)`` from the incremental accountant."""
-        return self.accountant.snapshot(self.sim.now)
+    def freshness_snapshot(
+        self, recompute: Optional[bool] = None
+    ) -> tuple[int, int, int]:
+        """``(fresh, valid, total)`` from the incremental accountant, or
+        with ``recompute=True`` from a brute-force store scan (every
+        caching node is online: this backend has no churn).
+        ``recompute=None`` follows
+        :data:`repro.core.accounting.INCREMENTAL_BOOKKEEPING`."""
+        if recompute is None:
+            recompute = not accounting.INCREMENTAL_BOOKKEEPING
+        if not recompute:
+            return self.accountant.snapshot(self.sim.now)
+        return accounting.scan_snapshot(self.stores, self.caching_nodes,
+                                        self.catalog, self.history,
+                                        self.sim.now)
 
     def refresh_overhead(self) -> float:
         """Total refresh-plane transmissions (messages)."""
@@ -409,55 +449,59 @@ class SoaRuntime:
             self._run_timestamp(T)
 
     def _peek_static(self) -> float:
-        """Time of the next relevant static event, loading slabs as
-        needed; +inf when the schedule is exhausted."""
+        """Time of the next relevant static event, loading windows and
+        slabs as needed; +inf when the schedule is exhausted."""
         while True:
             rt = self._rel_time
             if self._ri < len(rt):
                 return rt[self._ri]
-            if not self._load_next_slab():
+            if not (self._load_next_window() or self._load_next_slab()):
                 return math.inf
 
     def _load_next_slab(self) -> bool:
+        """Index the relevant events of the next slab under the current
+        active mask, in one vector operation."""
         stream = self.stream
         pos = self._pos
         if pos >= stream.num_events:
             return False
-        hi = stream.slab_end(pos, SLAB_EVENTS)
+        hi = stream.slab_end(pos, self._slab_size)
         self._pos = hi
-        self._slab_time = stream.time[pos:hi]
+        self._slab_size = min(2 * self._slab_size, SLAB_EVENTS)
         self._slab_kind = stream.kind[pos:hi]
         self._slab_aidx = stream.a_idx[pos:hi]
         self._slab_bidx = stream.b_idx[pos:hi]
-        self._fill_rel(0)
-        return True
-
-    def _fill_rel(self, lo: int) -> None:
-        """Build the slab's relevant-event lists from offset ``lo`` on,
-        under the current active mask."""
-        ids = self.stream._id_arr
         if self._family == "flood":
             # Every contact maintains neighbour sets; the cheap skip
             # happens per-push via the version vectors.
-            rel = slice(lo, len(self._slab_time))
-            self._rel_time = self._slab_time[rel].tolist()
-            self._rel_kind = self._slab_kind[rel].tolist()
-            self._rel_a = ids[self._slab_aidx[rel]].tolist()
-            self._rel_b = ids[self._slab_bidx[rel]].tolist()
+            rel = np.arange(hi - pos)
         elif self._family == "tree":
             act = self._active
-            mask = act[self._slab_aidx[lo:]] | act[self._slab_bidx[lo:]]
-            rel = np.nonzero(mask)[0] + lo
-            self._rel_time = self._slab_time[rel].tolist()
-            self._rel_kind = self._slab_kind[rel].tolist()
-            self._rel_a = ids[self._slab_aidx[rel]].tolist()
-            self._rel_b = ids[self._slab_bidx[rel]].tolist()
+            rel = np.flatnonzero(act[self._slab_aidx] | act[self._slab_bidx])
         else:  # "none": no handlers anywhere; skip the entire schedule
-            self._rel_time = []
-            self._rel_kind = []
-            self._rel_a = []
-            self._rel_b = []
+            rel = np.zeros(0, dtype=np.intp)
+        self._rel_idx = rel
+        self._rel_times = stream.time[pos:hi][rel]
+        self._wpos = 0
+        return True
+
+    def _load_next_window(self) -> bool:
+        """Materialise the next window of the slab's relevant events as
+        Python lists.  A window never splits a timestamp: the four-phase
+        order of :meth:`_run_timestamp` needs all of T's events in one."""
+        lo = self._wpos
+        if lo >= len(self._rel_idx):
+            return False
+        hi = aligned_end(self._rel_times, lo, WINDOW_EVENTS)
+        self._wpos = hi
+        idx = self._rel_idx[lo:hi]
+        ids = self.stream._id_arr
+        self._rel_time = self._rel_times[lo:hi].tolist()
+        self._rel_kind = self._slab_kind[idx].tolist()
+        self._rel_a = ids[self._slab_aidx[idx]].tolist()
+        self._rel_b = ids[self._slab_bidx[idx]].tolist()
         self._ri = 0
+        return True
 
     def _run_timestamp(self, T: float) -> None:
         rt = self._rel_time
@@ -502,11 +546,17 @@ class SoaRuntime:
             ri += 1
         self._ri = ri
         if self._recompute:
-            # A plain node was recruited mid-slab; re-filter the rest of
-            # the slab (strictly after T) under the grown active mask.
+            # A plain node was recruited: restart the slab just after T
+            # so its mask sees the grown active set.  Restarting from
+            # the stream, not the slab, also covers a T that precedes
+            # the loaded slab.  The small restart size keeps re-masking
+            # proportional to the events run between recruitments.
             self._recompute = False
-            lo = int(np.searchsorted(self._slab_time, T, side="right"))
-            self._fill_rel(lo)
+            self._pos = self.stream.events_until(T)
+            self._slab_size = min(WINDOW_EVENTS, SLAB_EVENTS)
+            self._rel_idx = self._rel_idx[:0]
+            self._rel_time = []
+            self._ri = 0
 
     # ------------------------------------------------------------------
     # controls
@@ -555,9 +605,9 @@ class SoaRuntime:
                 if st is None:
                     st = self._tstate[receiver] = _TaskState()
                 self._set_task(st, item_id, target, version, vtime, False)
-                idx = self.stream.index_of[receiver]
-                if not self._active[idx]:
-                    self._active[idx] = True
+                if receiver not in self._active_ids:
+                    self._active_ids.add(receiver)
+                    self._active[self.stream.index_of[receiver]] = True
                     self._recompute = True
             else:
                 self._apply_update(receiver, sender, item_id, version,

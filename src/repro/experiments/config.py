@@ -81,10 +81,13 @@ class Settings:
         if not self.seeds:
             errors.append("seeds must be non-empty")
         for positive_int in ("num_caching_nodes", "num_items", "num_sources",
-                             "item_size", "fanout", "max_depth", "max_relays"):
+                             "item_size", "fanout", "max_depth"):
             value = getattr(self, positive_int)
             if value < 1:
                 errors.append(f"{positive_int} must be >= 1, got {value}")
+        if self.max_relays < 0:
+            # 0 is direct-only provisioning: the tree, no relays
+            errors.append(f"max_relays must be >= 0, got {self.max_relays}")
         for positive in ("refresh_interval", "probe_interval"):
             value = getattr(self, positive)
             if value <= 0:

@@ -202,6 +202,7 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
     clear message instead of as N identical tracebacks out of a pool.
     """
     from repro.core.scheme import SCHEMES
+    from repro.experiments.runner import tree_capacity_problem
 
     for point_index, point in enumerate(points):
         where = f"sweep point {point_index}"
@@ -223,6 +224,11 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
                 f"{where}: num_caching_nodes must be >= 1, "
                 f"got {point.num_caching_nodes}"
             )
+        for scheme in point.schemes:
+            problem = tree_capacity_problem(scheme, point.settings,
+                                            point.num_caching_nodes)
+            if problem is not None:
+                raise ValueError(f"{where}: {problem}")
         if point.fault_plan is not None:
             try:
                 point.fault_plan.validate()

@@ -32,6 +32,7 @@ from repro.analysis.metrics import freshness_summary, judge_queries, refresh_out
 from repro.caching.items import DataCatalog
 from repro.contacts.centrality import contact_centrality, rank_nodes
 from repro.contacts.rates import RateTable, mle_rates
+from repro.core.hierarchy import tree_capacity
 from repro.core.scheme import (
     SCHEMES,
     SchemeConfig,
@@ -165,6 +166,37 @@ def configure_scheme(scheme: str | SchemeConfig,
     if not overrides:
         return scheme
     return scheme_variant(scheme, name=scheme, **overrides)
+
+
+def tree_capacity_problem(scheme: str | SchemeConfig, settings: Settings,
+                          num_caching_nodes: Optional[int] = None
+                          ) -> Optional[str]:
+    """Why ``scheme`` cannot build its refresh trees under ``settings``,
+    or ``None`` if every caching node fits.
+
+    Only tree-structured schemes have a capacity; their fanout and depth
+    are the ones :func:`configure_scheme` gives the run.
+    ``num_caching_nodes`` overrides the settings' count.
+
+    >>> tree_capacity_problem("hdr", Settings(num_caching_nodes=10, fanout=2,
+    ...                                       max_depth=2))
+    'num_caching_nodes = 10 exceeds the hdr tree capacity 6 (fanout = 2, max_depth = 2)'
+    >>> tree_capacity_problem("flat", Settings(num_caching_nodes=10, fanout=2,
+    ...                                        max_depth=2)) is None
+    True
+    """
+    config = configure_scheme(scheme, settings)
+    if isinstance(config, str):
+        config = SCHEMES[config]
+    if config.structure != "tree":
+        return None
+    count = num_caching_nodes or settings.num_caching_nodes
+    capacity = tree_capacity(config.fanout, config.max_depth)
+    if count <= capacity:
+        return None
+    return (f"num_caching_nodes = {count} exceeds the {config.name} tree "
+            f"capacity {capacity} (fanout = {config.fanout}, "
+            f"max_depth = {config.max_depth})")
 
 
 def make_trace(settings: Settings, seed: int) -> ContactTrace:

@@ -31,6 +31,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.core.scheme import SCHEMES
+from repro.experiments.config import Settings
+from repro.experiments.runner import TREE_KNOBS, tree_capacity_problem
 from repro.mobility.calibration import list_profiles
 
 #: default directory of committed scenario files, relative to the repo root
@@ -568,6 +570,14 @@ def _validate_semantics(doc: dict) -> list[str]:
             "[caching.onpath]: on-path caching needs [run] "
             "with_queries = true"
         )
+    table = doc.get("settings", {})
+    knobs = Settings().with_(**{key: table[key]
+                                for key in ("num_caching_nodes", *TREE_KNOBS)
+                                if key in table})
+    for scheme in run.get("schemes", ()):
+        problem = tree_capacity_problem(scheme, knobs)
+        if problem is not None:
+            errors.append(f"[settings]: {problem}")
     if backend == "soa":
         for active, what in (
             (with_queries, "[run] with_queries"),

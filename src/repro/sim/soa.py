@@ -44,6 +44,25 @@ KIND_START = 0
 KIND_END = 1
 
 
+def aligned_end(time: np.ndarray, pos: int, size: int) -> int:
+    """End of a run of the sorted array ``time`` starting at ``pos``: at
+    least ``size`` entries (fewer only at the array's end), extended so
+    that no timestamp is split between this run and the next.
+
+    >>> aligned_end(np.array([0.0, 1.0, 1.0, 1.0, 2.0]), 0, 2)
+    4
+    >>> aligned_end(np.array([0.0, 1.0, 1.0, 1.0, 2.0]), 4, 2)
+    5
+    """
+    n = len(time)
+    if pos >= n:
+        return n
+    hi = min(pos + size, n)
+    if hi < n:
+        hi = int(np.searchsorted(time, time[hi - 1], side="right"))
+    return hi
+
+
 class _NodeIndex:
     """Read-only ``node id -> node index`` mapping over the sorted id
     array.
@@ -235,14 +254,7 @@ class ContactEventStream:
         before static events of the *same* timestamp in a later slab --
         an ordering the event heap can never produce.
         """
-        n = self.num_events
-        if pos >= n:
-            return n
-        hi = min(pos + slab_size, n)
-        if hi < n:
-            hi = int(np.searchsorted(self.time, self.time[hi - 1],
-                                     side="right"))
-        return hi
+        return aligned_end(self.time, pos, slab_size)
 
     def events_until(self, t: float) -> int:
         """Number of events with time <= ``t`` (how many the object

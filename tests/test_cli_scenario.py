@@ -103,6 +103,29 @@ class TestListShowValidate:
         out = capsys.readouterr().out
         assert "ok:" in out and "error:" in out
 
+    def test_validate_rejects_over_capacity_fixture(self, capsys):
+        from pathlib import Path
+
+        fixture = (Path(__file__).resolve().parent / "fixtures"
+                   / "over-capacity.toml")
+        assert main(["scenario", "validate", str(fixture)]) == 2
+        out = capsys.readouterr().out
+        assert "[settings]" in out
+        for key in ("num_caching_nodes = 10", "fanout = 2", "max_depth = 2"):
+            assert key in out
+        assert "Traceback" not in out
+
+    def test_validate_rejects_over_capacity_grid_point(self, scenario_dir,
+                                                      capsys):
+        # fanout 1 at the default depth 3 holds 3 of the 5 caching nodes
+        swept = GOOD.replace("settings.refresh_interval_hours",
+                             "settings.fanout").replace("[3.0, 6.0]", "[3, 1]")
+        (scenario_dir / "good.toml").write_text(swept)
+        assert main(["scenario", "validate",
+                     "--dir", str(scenario_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "num_caching_nodes = 5 exceeds the hdr tree capacity 3" in out
+
     def test_committed_scenarios_validate(self, capsys):
         from pathlib import Path
 

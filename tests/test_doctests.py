@@ -12,10 +12,12 @@ import pytest
 import repro.caching.onpath
 import repro.caching.placement
 import repro.contacts.rates
+import repro.core.hierarchy
 import repro.core.replication
 import repro.experiments.runner
 import repro.mobility.levy
 import repro.scenarios.grid
+import repro.sim.soa
 import repro.theory.model
 import repro.theory.validate
 import repro.workloads.cycles
@@ -31,6 +33,8 @@ MODULES = [
     repro.caching.onpath,
     repro.caching.placement,
     repro.scenarios.grid,
+    repro.core.hierarchy,
+    repro.sim.soa,
 ]
 
 

@@ -112,6 +112,25 @@ class TestTreeKnobs:
         assert runtime.plans
         assert max(plan.num_relays for plan in runtime.plans.values()) <= 1
 
+    def test_max_relays_zero_is_direct_only(self, monkeypatch, settings,
+                                            trace):
+        direct = settings.with_(max_relays=0).validate()
+        runs = {}
+        for backend in ("object", "soa"):
+            metrics, runtime = run_once_capturing(
+                monkeypatch, trace, "hdr", direct, seed=1, backend=backend)
+            assert runtime.plans
+            assert all(plan.num_relays == 0
+                       for plan in runtime.plans.values())
+            assert runtime.stats.counter("refresh.relays_recruited").value == 0
+            assert metrics.messages > 0
+            runs[backend] = metrics
+        assert runs["object"].same_as(runs["soa"])
+
+    def test_negative_max_relays_rejected(self):
+        with pytest.raises(ValueError, match="max_relays must be >= 0"):
+            Settings(max_relays=-1).validate()
+
     def test_defaults_keep_the_registry_scheme(self):
         for name in ("hdr", "random", "source", "flat", "flooding"):
             assert configure_scheme(name, Settings()) == name

@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_sweep,
     run_tasks,
+    validate_points,
 )
 from repro.experiments.runner import RunMetrics, run_replicated
 
@@ -171,3 +172,44 @@ class TestSameAs:
         a = RunMetrics("hdr", 1, 0.5, 0.6, 10.0, 1.0, 0.9, 3.0)
         b = RunMetrics("hdr", 1, 0.4, 0.6, 10.0, 1.0, 0.9, 3.0)
         assert not a.same_as(b)
+
+
+class TestValidatePoints:
+    """Tree capacity is checked before any worker or artifact build."""
+
+    @pytest.fixture()
+    def crowded(self, settings):
+        # ten caching nodes, but fanout 2 and depth 2 hold only 2 + 4 = 6
+        return settings.with_(num_caching_nodes=10, fanout=2, max_depth=2)
+
+    @pytest.mark.parametrize("scheme", ["hdr", "random"])
+    def test_over_capacity_tree_scheme_rejected(self, crowded, scheme):
+        with pytest.raises(ValueError) as excinfo:
+            validate_points([SweepPoint(crowded, schemes=("source", scheme))])
+        message = str(excinfo.value)
+        assert message.startswith("sweep point 0: ")
+        for key in ("num_caching_nodes = 10", "fanout = 2", "max_depth = 2",
+                    "capacity 6", scheme):
+            assert key in message
+
+    def test_point_caching_count_overrides_settings(self, settings):
+        narrow = settings.with_(fanout=1, max_depth=2)
+        validate_points([SweepPoint(narrow, schemes=("hdr",),
+                                    num_caching_nodes=2)])
+        with pytest.raises(ValueError, match="num_caching_nodes = 3"):
+            validate_points([SweepPoint(narrow, schemes=("hdr",),
+                                        num_caching_nodes=3)])
+
+    def test_fixed_structure_schemes_have_no_capacity(self, crowded):
+        validate_points([SweepPoint(crowded,
+                                    schemes=("flat", "source", "flooding"))])
+
+    def test_explicit_config_is_checked_with_its_own_knobs(self, crowded):
+        from repro.core.scheme import scheme_variant
+
+        wide = scheme_variant("hdr", fanout=3, max_depth=3, name="hdr-wide")
+        validate_points([SweepPoint(crowded, schemes=(wide,))])
+        narrow = scheme_variant("hdr", fanout=1, max_depth=3,
+                                name="hdr-narrow")
+        with pytest.raises(ValueError, match="hdr-narrow tree capacity 3"):
+            validate_points([SweepPoint(crowded, schemes=(narrow,))])

@@ -111,6 +111,15 @@ class TestExpandGrid:
         assert "grid point 3" in message
         assert "with_queries=True/engine=soa" in message
 
+    def test_over_capacity_point_rejected_with_label(self):
+        doc = base_doc(axes=[{"key": "settings.fanout", "values": [3, 1]}])
+        with pytest.raises(ScenarioError) as err:
+            expand_grid(make_scenario(doc))
+        message = str(err.value)
+        assert "grid point 1 (fanout=1)" in message
+        assert "num_caching_nodes = 12 exceeds the hdr tree capacity 3" in message
+        assert "grid point 0" not in message
+
     def test_grid_size_matches_expansion(self, tmp_path):
         from pathlib import Path
 
@@ -126,7 +135,10 @@ _scalar_axes = st.lists(
     st.tuples(
         st.sampled_from([
             ("settings.num_items", st.integers(1, 8)),
-            ("settings.fanout", st.integers(1, 5)),
+            # fanout 1 holds only 3 of the default 12 caching nodes at
+            # depth 3, so validation rejects it (see
+            # test_over_capacity_point_rejected_with_label)
+            ("settings.fanout", st.integers(2, 5)),
             ("settings.refresh_interval_hours",
              st.floats(1.0, 48.0, allow_nan=False)),
             ("settings.zipf_exponent", st.floats(0.0, 2.0, allow_nan=False)),

@@ -192,6 +192,29 @@ class TestValidation:
         assert "does not support [faults]" in joined
         assert "does not support [placement]" in joined
 
+    def test_tree_capacity_names_the_keys(self):
+        crowded = {"num_caching_nodes": 10, "fanout": 2, "max_depth": 2}
+        errors = validate_doc(
+            {"scenario": {"name": "x"},
+             "settings": crowded,
+             "run": {"schemes": ["hdr", "random", "flat", "source"]}}
+        )
+        assert errors == [
+            f"[settings]: num_caching_nodes = 10 exceeds the {scheme} tree "
+            "capacity 6 (fanout = 2, max_depth = 2)"
+            for scheme in ("hdr", "random")
+        ]
+        assert validate_doc(
+            {"scenario": {"name": "x"},
+             "settings": crowded,
+             "run": {"schemes": ["flat", "source", "flooding"]}}
+        ) == []
+        assert validate_doc(
+            {"scenario": {"name": "x"},
+             "settings": {**crowded, "num_caching_nodes": 6},
+             "run": {"schemes": ["hdr"]}}
+        ) == []
+
     def test_fault_errors_are_forwarded(self):
         errors = validate_doc(
             {"scenario": {"name": "x"},

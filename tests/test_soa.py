@@ -11,6 +11,9 @@ counter, and update-log aggregate agrees field-for-field
   forcing many slab reloads and the timestamp-alignment edge cases;
 - the relay-recruitment path on a community trace, where most recruits
   are not planned relays but better carriers of the edge;
+- the same recruit-heavy trace under tiny relevance windows and slabs:
+  every recruitment restarts the slab after the current timestamp and
+  re-materialises one window, and no window splits a timestamp;
 - unsupported options (queries, tracing, the invalidate scheme) must be
   rejected loudly rather than silently ignored.
 """
@@ -26,6 +29,7 @@ from repro.core.refresh import HdrRefreshHandler
 from repro.experiments.config import DAY, HOUR, Settings
 from repro.experiments.runner import make_trace, run_once
 from repro.mobility.community import CommunityModel
+from repro.sim.soa import aligned_end
 from tests.conftest import run_once_capturing
 
 #: Every scheme the SoA executor supports ("invalidate" is object-only).
@@ -162,6 +166,99 @@ class TestRecruitPath:
                                   catalog, "object", prepare=drop_rates)
         assert qualified and all(qualified)
         assert 0 < recruited(without) < recruited(with_rates)
+
+
+class TestIncrementalRelevance:
+    """Recruitment no longer re-materialises the rest of the slab: it
+    restarts the slab just after T and loads one window at a time."""
+
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        """Count recomputes and check every window the runtime loads."""
+        seen = {"recomputes": 0, "windows": 0}
+        drain = soa_module.SoaRuntime._drain_deliveries
+        load = soa_module.SoaRuntime._load_next_window
+
+        def counting_drain(runtime, now):
+            drain(runtime, now)
+            seen["recomputes"] += runtime._recompute
+
+        def checked_load(runtime):
+            lo = runtime._wpos
+            loaded = load(runtime)
+            if loaded:
+                seen["windows"] += 1
+                times, hi = runtime._rel_times, runtime._wpos
+                assert runtime._rel_time == times[lo:hi].tolist()
+                assert hi - lo >= min(soa_module.WINDOW_EVENTS,
+                                      len(times) - lo)
+                if hi < len(times):
+                    assert times[hi] != times[hi - 1], "window split T"
+            return loaded
+
+        monkeypatch.setattr(soa_module.SoaRuntime, "_drain_deliveries",
+                            counting_drain)
+        monkeypatch.setattr(soa_module.SoaRuntime, "_load_next_window",
+                            checked_load)
+        return seen
+
+    @pytest.mark.parametrize("window, slab", [(1, None), (5, None), (3, 7)],
+                             ids=["window1", "window5", "window3-slab7"])
+    def test_recruit_heavy_trace_matches_object(self, monkeypatch, observed,
+                                                window, slab):
+        monkeypatch.setattr(soa_module, "WINDOW_EVENTS", window)
+        if slab is not None:
+            monkeypatch.setattr(soa_module, "SLAB_EVENTS", slab)
+        arrays, settings, catalog = community_trace(1)
+        soa, soa_rt = run_captured(monkeypatch, arrays, settings, catalog,
+                                   "soa")
+        obj, obj_rt = run_captured(monkeypatch, arrays.to_trace(), settings,
+                                   catalog, "object")
+        assert obj.same_as(soa)
+        assert nonzero_snapshot(obj_rt) == nonzero_snapshot(soa_rt)
+        assert recruited(soa_rt) > 0
+        assert observed["recomputes"] > 0
+        assert observed["windows"] > observed["recomputes"]
+        assert (soa_rt.verify_freshness_accounting()
+                == obj_rt.verify_freshness_accounting())
+
+    def test_accounting_check_reports_both_readings(self, monkeypatch):
+        arrays, settings, catalog = community_trace(2)
+        _, runtime = run_captured(monkeypatch, arrays, settings, catalog,
+                                  "soa")
+        fresh, valid, total = runtime.verify_freshness_accounting()
+        assert total > 0 and fresh > 0
+        runtime.accountant._fresh_online += 1
+        with pytest.raises(AssertionError,
+                           match=r"incremental=.*brute-force="):
+            runtime.verify_freshness_accounting()
+
+    @hsettings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 8), max_size=60).map(sorted),
+        relevant=st.lists(st.booleans(), min_size=60, max_size=60),
+        size=st.integers(min_value=1, max_value=9),
+    )
+    def test_windows_never_split_a_timestamp(self, times, relevant, size):
+        """Walk the relevant events in windows like ``_load_next_window``:
+        each window holds at least ``size`` events (fewer only at the
+        end), windows tile the relevant events in order, and no
+        timestamp spans two windows."""
+        time = np.asarray(times, dtype=np.float64)
+        rel_times = time[np.flatnonzero(relevant[:len(times)])]
+        lo, windows = 0, []
+        while lo < len(rel_times):
+            hi = aligned_end(rel_times, lo, size)
+            assert hi >= min(lo + size, len(rel_times))
+            windows.append(rel_times[lo:hi])
+            lo = hi
+        assert (np.concatenate(windows).tolist() if windows else []
+                ) == rel_times.tolist()
+        for before, after in zip(windows, windows[1:]):
+            assert before[-1] < after[0]
+        for window in windows[:-1]:
+            # minimal: the window only grew past ``size`` to finish a T
+            assert np.all(window[size - 1:] == window[-1])
 
 
 class TestBackendValidation:

@@ -162,29 +162,38 @@ class QueryManager(ProtocolHandler):
         )
         self._carried[record.query_id] = message
         self._forwarded_to[record.query_id] = set()
-        for peer_id in self.node.neighbors:
-            self._forward_to(message, self.node.network.nodes[peer_id])
+        self._offer_to_neighbors(message)
         return record
 
     # -- contact machinery --------------------------------------------------
 
     def on_contact_start(self, peer: Node) -> None:
         now = self.node.sim.now
+        peer_manager = peer.find_handler(QueryManager)
         for query_id, message in list(self._carried.items()):
             if message.expired(now):
                 del self._carried[query_id]
                 self._forwarded_to.pop(query_id, None)
                 continue
-            self._forward_to(message, peer)
+            self._forward_to(message, peer, peer_manager)
 
-    def _forward_to(self, message: Message, peer: Node) -> None:
+    def _offer_to_neighbors(self, message: Message, exclude: Optional[int] = None) -> None:
+        nodes = self.node.network.nodes
+        for peer_id in self.node.neighbors:
+            if peer_id != exclude:
+                peer = nodes[peer_id]
+                self._forward_to(message, peer, peer.find_handler(QueryManager))
+
+    def _forward_to(self, message: Message, peer: Node,
+                    peer_manager: Optional[ProtocolHandler]) -> None:
+        """Send ``message`` to ``peer``; ``peer_manager`` is the peer's
+        query manager, resolved once per contact by the caller."""
         query_id = message.payload["query_id"]
         if message.hops_left is not None and message.hops_left <= 0:
             return
         given = self._forwarded_to.setdefault(query_id, set())
         if peer.node_id in given:
             return
-        peer_manager = peer.find_handler(QueryManager)
         if isinstance(peer_manager, QueryManager) and query_id in peer_manager._carried:
             return  # peer already carries it (summary-vector shortcut)
         outgoing = message.copy()
@@ -219,9 +228,7 @@ class QueryManager(ProtocolHandler):
             )
         self._carried[query_id] = message
         self._forwarded_to.setdefault(query_id, set()).add(sender.node_id)
-        for peer_id in self.node.neighbors:
-            if peer_id != sender.node_id:
-                self._forward_to(message, self.node.network.nodes[peer_id])
+        self._offer_to_neighbors(message, exclude=sender.node_id)
 
     # -- answering ----------------------------------------------------------
 

@@ -2,7 +2,11 @@
 
 Queries, responses and refresh messages all travel over opportunistic
 contacts, so every node runs a routing agent that buffers messages and
-forwards them contact-by-contact.  Four classic policies are provided:
+forwards them contact-by-contact.  The base class
+(:class:`~repro.routing.base.RoutingAgent`) never offers a peer a
+message already in the peer agent's ``seen`` set: a contact filters the
+buffer against that summary vector once, and a policy decides only
+among messages the peer lacks.  Five classic policies are provided:
 
 - :class:`~repro.routing.direct.DirectDelivery` -- hand the message only
   to its destination (minimum overhead, maximum delay);

@@ -55,9 +55,6 @@ class DelegationForwarding(RoutingAgent):
     def should_forward(self, message: Message, peer: Node) -> bool:
         if message.dst == peer.node_id:
             return True
-        peer_agent = self.peer_agent(peer)
-        if peer_agent is not None and message.msg_id in peer_agent.seen:
-            return False
         threshold = message.payload.get(_THRESHOLD, 0.0)
         return self.quality_of(peer, message.dst) > threshold
 

@@ -1,8 +1,10 @@
 """Epidemic routing: replicate every message to every new peer.
 
 The flooding upper bound: minimum delivery delay, maximum transmission
-overhead.  A summary-vector handshake (modelled by peeking at the peer's
-``seen`` set) suppresses re-sending messages the peer already carries.
+overhead.  The summary-vector handshake that suppresses re-sending
+messages the peer already carries is the base class's ``seen`` rule
+(:mod:`repro.routing.base`), so every message offered here is new to
+the peer.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ class EpidemicRouting(RoutingAgent):
     def should_forward(self, message: Message, peer: Node) -> bool:
         if message.hops_left is not None and message.hops_left <= 0:
             return False
-        peer_agent = self.peer_agent(peer)
-        if peer_agent is None:
-            return message.dst == peer.node_id
-        return message.msg_id not in peer_agent.seen
+        return self.peer_agent(peer) is not None or message.dst == peer.node_id
 
     def split_for(self, message: Message, peer: Node) -> Message:
         outgoing = message.copy()

@@ -91,6 +91,4 @@ class ProphetRouting(RoutingAgent):
         peer_agent = self.peer_agent(peer)
         if not isinstance(peer_agent, ProphetRouting):
             return False
-        if message.msg_id in peer_agent.seen:
-            return False
         return peer_agent.predictability_to(message.dst) > self.predictability_to(message.dst)

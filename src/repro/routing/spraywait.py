@@ -37,10 +37,7 @@ class SprayAndWait(RoutingAgent):
     def should_forward(self, message: Message, peer: Node) -> bool:
         if message.dst == peer.node_id:
             return True
-        if self._tokens(message) <= 1:
-            return False
-        peer_agent = self.peer_agent(peer)
-        return peer_agent is None or message.msg_id not in peer_agent.seen
+        return self._tokens(message) > 1
 
     def split_for(self, message: Message, peer: Node) -> Message:
         outgoing = message.copy()

@@ -9,6 +9,11 @@ registration order.
 Handlers talk back to the world through ``node.network`` (to transfer
 messages to the peer currently in contact) and ``node.sim`` (to schedule
 timers).
+
+Handlers must be registered through :meth:`Node.add_handler`: the node
+caches, per message kind, the tuple of handlers :meth:`Node.receive`
+dispatches to, and per class, the answer of :meth:`Node.find_handler`;
+``add_handler`` drops both caches.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ class Node:
         self.node_id = int(node_id)
         self.network: Optional["ContactNetwork"] = None
         self.handlers: list[ProtocolHandler] = []
+        #: message kind -> handlers taking it, in registration order
+        self._dispatch: dict[str, tuple[ProtocolHandler, ...]] = {}
+        #: class -> first handler that is an instance of it (or None)
+        self._found: dict[type, Optional[ProtocolHandler]] = {}
         self._neighbors: set[int] = set()
         #: an offline node (device powered down) takes part in no contacts
         self.online = True
@@ -80,14 +89,15 @@ class Node:
         """Register ``handler`` at the bottom of the stack and return it."""
         handler.attach(self)
         self.handlers.append(handler)
+        self._dispatch.clear()
+        self._found.clear()
         return handler
 
     def find_handler(self, cls: type) -> Optional[ProtocolHandler]:
         """First registered handler that is an instance of ``cls``."""
-        for handler in self.handlers:
-            if isinstance(handler, cls):
-                return handler
-        return None
+        if cls not in self._found:
+            self._found[cls] = next((h for h in self.handlers if isinstance(h, cls)), None)
+        return self._found[cls]
 
     def in_contact_with(self, peer_id: int) -> bool:
         """True while a contact with ``peer_id`` is open."""
@@ -120,10 +130,15 @@ class Node:
             handler.on_contact_end(peer)
 
     def receive(self, message: Message, sender: "Node") -> None:
-        for handler in list(self.handlers):
-            kinds = handler.handled_kinds
-            if kinds is None or message.kind in kinds:
-                handler.on_message(message, sender)
+        kind = message.kind
+        handlers = self._dispatch.get(kind)
+        if handlers is None:
+            handlers = self._dispatch[kind] = tuple(
+                h for h in self.handlers
+                if h.handled_kinds is None or kind in h.handled_kinds
+            )
+        for handler in handlers:
+            handler.on_message(message, sender)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id})"

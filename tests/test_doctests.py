@@ -16,6 +16,7 @@ import repro.core.hierarchy
 import repro.core.replication
 import repro.experiments.runner
 import repro.mobility.levy
+import repro.routing.base
 import repro.scenarios.grid
 import repro.sim.soa
 import repro.theory.model
@@ -35,6 +36,7 @@ MODULES = [
     repro.scenarios.grid,
     repro.core.hierarchy,
     repro.sim.soa,
+    repro.routing.base,
 ]
 
 

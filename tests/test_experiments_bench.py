@@ -2,6 +2,7 @@
 reference scenario, and the single-CPU sweep skip."""
 
 import json
+import subprocess
 
 from repro.experiments import bench
 from repro.experiments.bench import (
@@ -163,3 +164,52 @@ class TestCheckScaleRegression:
             scale_report([scale_point("soa", 30_000, 1.0)]), path
         )
         assert ok
+
+
+class TestScaleSampling:
+    """Short scale points are sampled three times and gated on the median."""
+
+    BASE_EPS = {("object", 1000): 400_000.0, ("soa", 1000): 4_000_000.0}
+
+    def run_scale(self, monkeypatch, object_rates):
+        """``scale_benchmark`` with the subprocess replaced: object@1000
+        yields ``object_rates`` in turn, soa@1000 its baseline rate."""
+        rates = iter(object_rates)
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            backend = cmd[cmd.index("--backend") + 1]
+            nodes = int(cmd[cmd.index("--nodes") + 1])
+            calls.append((backend, nodes))
+            eps = next(rates) if backend == "object" else self.BASE_EPS[(backend, nodes)]
+            point = {"backend": backend, "nodes": nodes, "run_s": 0.1,
+                     "events_per_sec": eps, "peak_rss_mb": 60.0}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(point), "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.setattr(bench, "_scale_points",
+                            lambda quick: [("object", 1000), ("soa", 1000)])
+        return {"scale": bench.scale_benchmark(quick=True)}, calls
+
+    def baseline(self, tmp_path) -> str:
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(scale_report([
+            {**scale_point(backend, nodes, eps), "run_s": 0.1}
+            for (backend, nodes), eps in self.BASE_EPS.items()
+        ])))
+        return str(path)
+
+    def test_one_slow_sample_of_three_passes(self, monkeypatch, tmp_path):
+        report, calls = self.run_scale(monkeypatch, [240_000.0, 390_000.0, 410_000.0])
+        assert calls.count(("object", 1000)) == 3
+        point = report["scale"]["points"][0]
+        assert point["events_per_sec"] == 390_000.0
+        assert point["events_per_sec_samples"] == [240_000.0, 390_000.0, 410_000.0]
+        ok, message = check_scale_regression(report, self.baseline(tmp_path))
+        assert ok, message
+
+    def test_three_slow_samples_still_fail(self, monkeypatch, tmp_path):
+        report, _ = self.run_scale(monkeypatch, [240_000.0, 250_000.0, 230_000.0])
+        ok, message = check_scale_regression(report, self.baseline(tmp_path))
+        assert not ok
+        assert "object@1000" in message

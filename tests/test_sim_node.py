@@ -77,6 +77,64 @@ class TestHandlers:
         assert node.find_handler(int) is None
 
 
+class Tagged(ProtocolHandler):
+    """Appends ``(tag, kind)`` to a shared log for every message."""
+
+    def __init__(self, tag, log, kinds=None):
+        super().__init__()
+        if kinds is not None:
+            self.handled_kinds = frozenset(kinds)
+        self.tag, self.log = tag, log
+
+    def on_message(self, message, sender):
+        self.log.append((self.tag, message.kind))
+
+
+class TestDispatchTable:
+    """``receive`` dispatches through a per-kind handler tuple."""
+
+    @staticmethod
+    def deliver(node, *kinds):
+        sender = Node(99)
+        for kind in kinds:
+            node.receive(Message(kind=kind, src=99, dst=node.node_id, created_at=0.0), sender)
+
+    def test_handler_added_after_first_receive_is_reached(self):
+        node, log = Node(0), []
+        node.add_handler(Tagged("first", log, kinds={"a"}))
+        self.deliver(node, "a")
+        node.add_handler(Tagged("late", log, kinds={"a"}))
+        node.add_handler(Tagged("late-all", log))
+        self.deliver(node, "a")
+        assert log == [("first", "a"), ("first", "a"), ("late", "a"), ("late-all", "a")]
+
+    def test_registration_order_kept_across_kinds(self):
+        node, log = Node(0), []
+        for tag, kinds in (("x", {"x"}), ("all", None), ("xy", {"x", "y"}), ("y", {"y"})):
+            node.add_handler(Tagged(tag, log, kinds=kinds))
+        self.deliver(node, "x", "y", "x")
+        assert log == [
+            ("x", "x"), ("all", "x"), ("xy", "x"),
+            ("all", "y"), ("xy", "y"), ("y", "y"),
+            ("x", "x"), ("all", "x"), ("xy", "x"),
+        ]
+
+    def test_unfiltered_handler_sees_every_kind(self):
+        node, log = Node(0), []
+        node.add_handler(Tagged("only-q", log, kinds={"query"}))
+        node.add_handler(Tagged("all", log, kinds=None))
+        self.deliver(node, "query", "response", "refresh")
+        assert [kind for tag, kind in log if tag == "all"] == ["query", "response", "refresh"]
+        assert [kind for tag, kind in log if tag == "only-q"] == ["query"]
+
+    def test_find_handler_sees_later_registrations(self):
+        node, log = Node(0), []
+        assert node.find_handler(Tagged) is None
+        tagged = node.add_handler(Tagged("t", log))
+        assert node.find_handler(Tagged) is tagged
+        assert node.find_handler(ProtocolHandler) is tagged
+
+
 class TestNeighbors:
     def test_neighbors_track_open_contacts(self):
         net = two_node_network()
